@@ -200,18 +200,26 @@ class LiveBackend:
                 raise BackendError(
                     f"endpoint returned HTTP {resp.status_code}: {resp.text[:500]}", attempts=attempt
                 )
-            payload = resp.json()
-            choice = payload["choices"][0]
-            text = choice.get("message", {}).get("content") or ""
-            finish = choice.get("finish_reason") or "stop"
+            try:
+                payload = resp.json()
+                choice = payload["choices"][0]
+                text = choice.get("message", {}).get("content") or ""
+                finish = choice.get("finish_reason") or "stop"
+                usage = payload.get("usage", {})
+                prompt_tokens = usage.get("prompt_tokens", 0)
+                completion_tokens = usage.get("completion_tokens", count_tokens(text, self.counter))
+            except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+                # A 200 whose body is not JSON or lacks a usable ``choices[0]``.
+                raise BackendError(
+                    f"malformed response body ({type(exc).__name__}: {exc}): {resp.text[:500]}", attempts=attempt
+                ) from exc
             if finish not in ("stop", "length"):
                 finish = "error"
-            usage = payload.get("usage", {})
             return GenerationResult(
                 text=text,
                 finish_reason=finish,
-                prompt_tokens=usage.get("prompt_tokens", 0),
-                completion_tokens=usage.get("completion_tokens", count_tokens(text, self.counter)),
+                prompt_tokens=prompt_tokens,
+                completion_tokens=completion_tokens,
                 latency_ms=latency_ms,
             )
         raise BackendError(f"transport failure after {self.max_retries} attempts: {last_exc}", attempts=self.max_retries)

@@ -25,7 +25,7 @@ from .protocol import (
     make_request,
     render_write_prompt,
 )
-from .retrieval import build_index, build_units, concat_retrieved, query_index, segment_stream
+from .retrieval import DEFAULT_B, DEFAULT_K1, build_index, build_units, concat_retrieved, query_index, segment_stream
 
 MEMAGENT_PROMPT_NOTE = "memory-update template with empty retrieved section (surrogate)"
 
@@ -133,6 +133,8 @@ def run_rag_top6(
     *,
     counter: TokenCounter = WHITESPACE_COUNTER,
     sampling: SamplingConfig = SamplingConfig(),
+    k1: float = DEFAULT_K1,
+    b: float = DEFAULT_B,
 ) -> Trajectory:
     """Single-shot retrieval baseline: exactly one backend call, zero write steps.
 
@@ -142,7 +144,7 @@ def run_rag_top6(
     units = build_units(instance.long_text, rag.unit_tokens, counter)
     hits = []
     if units:
-        index = build_index(units)
+        index = build_index(units, k1=k1, b=b)
         hits = query_index(index, instance.question, rag.top_k)
     context = concat_retrieved(hits, units, rag.context_cap, counter)
     memory = MemoryState(text=context, token_count=count_tokens(context, counter), step=0)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 _WORD_RE = re.compile(r"\S+")
+_THROUGH_LAST_SPACE_RE = re.compile(r"(?s).*\s")
 
 SCHEMES = ("whitespace-approx", "byte-per-4-approx", "external-vocab")
 
@@ -78,6 +79,22 @@ def count_tokens(text: str, counter: TokenCounter) -> int:
     return len(counter.encode(text))
 
 
+def word_run_re(max_words: int) -> re.Pattern[str]:
+    """Leading whitespace, then 1 to ``max_words`` words, each with the whitespace after it.
+
+    A match ends on the next word start or at the end of the text, so
+    ``finditer`` tiles a text into runs of ``max_words`` words. Words are
+    ``\\S+`` runs, the same words ``str.split`` counts.
+    """
+    return re.compile(r"\s*(?:\S+(?:\s+|\Z)){1,%d}" % max_words)
+
+
+def utf8_prefix_end(text: str, start: int, max_bytes: int) -> int:
+    """Largest ``end`` such that ``text[start:end]`` is at most ``max_bytes`` UTF-8 bytes."""
+    head = text[start : start + max_bytes].encode("utf-8")[:max_bytes]
+    return start + len(head.decode("utf-8", "ignore"))
+
+
 def _largest_cut(text: str, cuts: list[int], budget: int, counter: TokenCounter) -> int:
     """Largest cut position whose prefix stays within budget (0 if none).
 
@@ -104,6 +121,11 @@ def truncate_to_budget(
     """Longest prefix of ``text`` at the chosen boundary within ``budget`` tokens.
 
     Returns ``text`` unchanged when it already fits; budget 0 yields "".
+    The built-in schemes find the cut directly: under ``whitespace-approx``
+    the char cut is the start of word ``budget + 1``, under
+    ``byte-per-4-approx`` it is the longest prefix of ``4 * budget`` bytes;
+    the word cut is the last word end at or before the char cut.
+    ``external-vocab`` binary-searches the cut with ``count_tokens``.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -113,6 +135,19 @@ def truncate_to_budget(
         return ""
     if count_tokens(text, counter) <= budget:
         return text
+    if counter.scheme == "whitespace-approx":
+        # The text has more than ``budget`` words, so the run ends on word ``budget + 1``.
+        head = word_run_re(budget).match(text).group()
+        return head if boundary == "char" else head.rstrip()
+    if counter.scheme == "byte-per-4-approx":
+        end = utf8_prefix_end(text, 0, 4 * budget)
+        if boundary == "char":
+            return text[:end]
+        if not text[end].isspace():
+            # Drop the word cut at ``end``: keep up to the last whitespace before it.
+            last_space = _THROUGH_LAST_SPACE_RE.match(text, 0, end)
+            end = last_space.end() if last_space else 0
+        return text[:end].rstrip()
     if boundary == "char":
         cuts = list(range(1, len(text) + 1))
     else:

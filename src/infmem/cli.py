@@ -212,7 +212,15 @@ def _run_one(instance, mode: str, backend: Backend, config: RunConfig, stop_poli
     if mode == "memagent":
         return run_memagent(instance, backend, config.budgets, counter=config.counter, sampling=config.sampling)
     if mode == "rag-top6":
-        return run_rag_top6(instance, backend, config.rag, counter=config.counter, sampling=config.sampling)
+        return run_rag_top6(
+            instance,
+            backend,
+            config.rag,
+            counter=config.counter,
+            sampling=config.sampling,
+            k1=config.retrieval.k1,
+            b=config.retrieval.b,
+        )
     raise CliError(f"unknown mode {mode!r}")
 
 

@@ -219,3 +219,46 @@ def test_live_maps_unknown_finish_reason_to_error(monkeypatch):
     be = LiveBackend(base_url="http://h", model="m")
     res = be.complete(_req(), episode_id="e", call_kind="answer")
     assert res.finish_reason == "error"
+
+
+class _BodyResponse:
+    """A 200 response whose ``json()`` returns ``payload`` or raises it."""
+
+    status_code = 200
+    text = "<html>gateway</html>"
+
+    def __init__(self, payload):
+        self._payload = payload
+
+    def json(self):
+        if isinstance(self._payload, Exception):
+            raise self._payload
+        return self._payload
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        requests.exceptions.JSONDecodeError("Expecting value", "<html>gateway</html>", 0),
+        {},
+        {"choices": []},
+        {"choices": None},
+        [],
+        {"choices": ["not an object"]},
+        {"choices": [{"message": {"content": "x"}}], "usage": "none"},
+    ],
+    ids=["not-json", "no-choices", "empty-choices", "null-choices", "list-body", "string-choice", "string-usage"],
+)
+def test_live_malformed_200_body_raises_backend_error(monkeypatch, payload):
+    calls = {"n": 0}
+
+    def post(url, **kwargs):
+        calls["n"] += 1
+        return _BodyResponse(payload)
+
+    monkeypatch.setattr(backend_mod.requests, "post", post)
+    be = LiveBackend(base_url="http://h", model="m")
+    with pytest.raises(BackendError, match="malformed response body") as err:
+        be.complete(_req(), episode_id="e", call_kind="answer")
+    assert err.value.attempts == 1
+    assert calls["n"] == 1

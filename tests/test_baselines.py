@@ -1,8 +1,12 @@
 """Recurrent-overwrite and RAG baselines under shared budgets."""
 
+import dataclasses
+
 from infmem.backend import ScriptedBackend
 from infmem.baselines import RagConfig, run_memagent, run_rag_top6
 from infmem.budget import WHITESPACE_COUNTER, count_tokens
+from infmem.cli import _run_one
+from infmem.config import RunConfig
 from infmem.protocol import StopPolicy, run_episode
 from infmem.retrieval import segment_stream
 
@@ -115,3 +119,22 @@ def test_rag_deterministic_retrieval():
     t1 = run_rag_top6(inst, ScriptedBackend({"r4": {"answer": ["x"]}}), RagConfig(unit_tokens=30, top_k=4, context_cap=300))
     t2 = run_rag_top6(inst, ScriptedBackend({"r4": {"answer": ["x"]}}), RagConfig(unit_tokens=30, top_k=4, context_cap=300))
     assert t1.final_memory.text == t2.final_memory.text
+
+
+def test_rag_uses_configured_bm25_parameters():
+    # Unit 0 holds "needle" once among punctuation (1 index token); unit 1 holds it
+    # twice among 8 index tokens. Strong length normalization (the default b) ranks
+    # the short unit first; almost none (b = 0.01) ranks the higher tf first.
+    text = " ".join(
+        ["needle"] + ["--"] * 9 + ["needle", "needle"] + ["fill"] * 8 + [f"other{i}" for i in range(30)]
+    )
+    inst = make_instance(instance_id="rb", question="needle", text=text)
+    base = RunConfig(rag=RagConfig(unit_tokens=10, top_k=1, context_cap=100))
+
+    def top_unit(config):
+        traj = _run_one(inst, "rag-top6", ScriptedBackend({"rb": {"answer": ["x"]}}), config, config.stop_policy)
+        return traj.final_memory.text.split("\n", 1)[0]
+
+    assert top_unit(base) == "[Unit 0]"
+    flat = dataclasses.replace(base, retrieval=dataclasses.replace(base.retrieval, b=0.01))
+    assert top_unit(flat) == "[Unit 1]"

@@ -1,7 +1,7 @@
 """Token counting and budget arithmetic."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infmem.budget import (
@@ -121,3 +121,21 @@ def test_sum_mismatch_lists_sums():
     config = BudgetConfig(query=1000, retrieved=2000, recurrent=5000, memory=1000, reserve=1000)
     with pytest.raises(BudgetError, match="10000"):
         validate_budget(config, 9000)
+
+
+# The built-in schemes cut directly; an external-vocab counter with the same
+# counts takes the binary search over cuts, which is the oracle.
+SEARCH_ORACLES = [
+    (WHITESPACE_COUNTER, external_vocab_counter(str.split)),
+    (BYTE_PER_4_COUNTER, external_vocab_counter(lambda t: [0] * ((len(t.encode("utf-8")) + 3) // 4))),
+]
+_spaces = st.sampled_from([" ", "  ", "\t", "\n", " \n ", "　", "\xa0", "\x85", "\x1c"])
+_words = st.text(alphabet="abcxyzé中\U0001f600-.", min_size=1, max_size=30)
+truncation_texts = st.one_of(st.lists(st.one_of(_words, _spaces), max_size=50).map("".join), texts)
+
+
+@given(text=truncation_texts, budget=st.integers(min_value=0, max_value=40), boundary=st.sampled_from(["word", "char"]))
+@settings(max_examples=200, deadline=None)
+def test_direct_truncation_matches_search(text, budget, boundary):
+    for counter, oracle in SEARCH_ORACLES:
+        assert truncate_to_budget(text, budget, counter, boundary) == truncate_to_budget(text, budget, oracle, boundary)

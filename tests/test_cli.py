@@ -363,3 +363,25 @@ def test_eval_rejects_unknown_instance(workspace):
         "--out", str(tmp_path / "r.json"), "--config", str(config_path),
     ])
     assert code == 1
+
+
+def test_run_live_malformed_body_exits_2(workspace, monkeypatch, capsys):
+    import infmem.backend as backend_mod
+
+    class NoChoices:
+        status_code = 200
+        text = "{}"
+
+        def json(self):
+            return {}
+
+    monkeypatch.setattr(backend_mod.requests, "post", lambda url, **kwargs: NoChoices())
+    monkeypatch.setenv("INFMEM_API_BASE", "http://h")
+    dataset = _synth(workspace)
+    out = workspace[0] / "live.jsonl"
+    code = dispatch([
+        "run", "--dataset", str(dataset), "--mode", "rag-top6", "--backend", "live",
+        "--out", str(out), "--config", str(workspace[3]),
+    ])
+    assert code == 2
+    assert "malformed response body" in capsys.readouterr().err

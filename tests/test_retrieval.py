@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infmem.budget import BYTE_PER_4_COUNTER, WHITESPACE_COUNTER, count_tokens
+from infmem.budget import BYTE_PER_4_COUNTER, WHITESPACE_COUNTER, count_tokens, external_vocab_counter
 from infmem.retrieval import (
     ScoredUnit,
+    _tile_spans,
     build_index,
     build_units,
     concat_retrieved,
+    index_tokens,
     query_index,
     segment_stream,
 )
@@ -136,8 +138,13 @@ def test_index_statistics_match_naive_recount():
     assert index.avg_length == sum(len(d) for d in docs) / len(docs)
     for term in {t for d in docs for t in d}:
         assert index.doc_freq[term] == sum(1 for d in docs if term in d)
+    term_freqs: list[dict[str, int]] = [{} for _ in docs]
+    for term, (unit_ids, freqs) in index.postings.items():
+        assert unit_ids == sorted(unit_ids)
+        for unit_id, freq in zip(unit_ids, freqs):
+            term_freqs[unit_id][term] = freq
     for i, d in enumerate(docs):
-        assert index.term_freqs[i] == dict(Counter(d))
+        assert term_freqs[i] == dict(Counter(d))
 
 
 def test_empty_unit_list_rejected():
@@ -243,3 +250,93 @@ def test_concat_unknown_unit_id_raises():
     units = _units_from_texts(["only one"])
     with pytest.raises(KeyError, match="99"):
         concat_retrieved([ScoredUnit(99, 1.0)], units, cap=10, counter=C)
+
+
+# --- One-pass paths against the search paths they replace -------------------
+# An external-vocab counter whose encoder reproduces a built-in count takes the
+# search path (gallop/bisect tiling, recounting concat) with the same counts, so
+# it is the oracle for the built-in scheme's direct path.
+
+WS_ORACLE = external_vocab_counter(str.split, "whitespace-approx by search")
+B4_ORACLE = external_vocab_counter(lambda t: [0] * ((len(t.encode("utf-8")) + 3) // 4), "byte-per-4-approx by search")
+ORACLES = [(C, WS_ORACLE), (BYTE_PER_4_COUNTER, B4_ORACLE)]
+
+_spaces = st.sampled_from([" ", "  ", "\t", "\n", "\n\n", " \n ", "　", "\xa0", "\x85", "\x1c"])
+_words = st.text(alphabet="abcxyzé中😀-.", min_size=1, max_size=40)
+# Leading and trailing whitespace, whitespace runs, non-ASCII words and spaces,
+# and words far larger than small byte budgets.
+tiling_texts = st.one_of(
+    st.lists(st.one_of(_words, _spaces), max_size=60).map("".join),
+    st.text(alphabet=st.characters(codec="utf-8", exclude_categories=["Cs"]), max_size=200),
+)
+
+
+@given(text=tiling_texts, budget=st.integers(min_value=1, max_value=40))
+@settings(max_examples=200, deadline=None)
+def test_one_pass_tiling_matches_search(text, budget):
+    for counter, _ in ORACLES:
+        expected = [(s, e, count_tokens(text[s:e], counter)) for s, e in _tile_spans(text, budget, counter)]
+        for fn in (segment_stream, build_units):
+            assert [(p.start, p.end, p.token_count) for p in fn(text, budget, counter)] == expected
+
+
+def test_one_pass_tiling_matches_search_at_chunk_scale():
+    rng = random.Random(11)
+    vocab = ["alpha", "beta", "gamma", "délta", "x" * 70]
+    text = " ".join(rng.choice(vocab) + rng.choice(["", "\n"]) for _ in range(6000))
+    for counter, oracle in ORACLES:
+        for budget in (1, 7, 500, 5000):
+            got = [(c.start, c.end, c.token_count) for c in segment_stream(text, budget, counter)]
+            assert got == [(c.start, c.end, c.token_count) for c in segment_stream(text, budget, oracle)]
+
+
+def brute_force_bm25_filtered(texts, units, query, exclude_span, scope_end, b):
+    return [
+        (i, score)
+        for i, score in brute_force_bm25(texts, query, b=b)
+        if not (exclude_span is not None and units[i].start < exclude_span[1] and exclude_span[0] < units[i].end)
+        and not (scope_end is not None and units[i].end > scope_end)
+    ]
+
+
+@given(
+    texts=st.lists(
+        st.lists(st.sampled_from("v0 v1 v2 v3 v4 v5 -- Q".split()), max_size=12).map(" ".join), min_size=1, max_size=14
+    ),
+    query=st.lists(st.sampled_from("v0 v1 v2 v5 v9 q".split()), max_size=7).map(" ".join),
+    k=st.integers(min_value=1, max_value=16),
+    b=st.sampled_from([0.01, 0.75, 1.0]),
+    window=st.one_of(st.none(), st.tuples(st.integers(0, 80), st.integers(0, 30))),
+    scope=st.one_of(st.none(), st.integers(0, 120)),
+)
+@settings(max_examples=200, deadline=None)
+def test_postings_query_equals_brute_force_exactly(texts, query, k, b, window, scope):
+    # Small vocabularies give repeated query terms, equal-score ties and empty units.
+    units = _units_from_texts(texts)
+    exclude = None if window is None else (window[0], window[0] + window[1])
+    hits = query_index(build_index(units, b=b), query, k, exclude_span=exclude, scope_end=scope)
+    expected = brute_force_bm25_filtered(texts, units, query, exclude, scope, b)
+    assert [(h.unit_id, h.score) for h in hits] == expected[:k]
+
+
+@given(
+    texts=st.lists(tiling_texts, min_size=1, max_size=8),
+    picks=st.lists(st.integers(min_value=0, max_value=7), max_size=8),
+    cap=st.integers(min_value=1, max_value=80),
+)
+@settings(max_examples=200, deadline=None)
+def test_running_count_concat_matches_recount(texts, picks, cap):
+    units = _units_from_texts(texts)
+    hits = [ScoredUnit(unit_id=i % len(units), score=1.0) for i in picks]
+    for counter, oracle in ORACLES:
+        assert concat_retrieved(hits, units, cap, counter) == concat_retrieved(hits, units, cap, oracle)
+
+
+@given(
+    text=st.text(alphabet=st.characters(codec="utf-8", exclude_categories=["Cs"]), max_size=200)
+    | st.text(alphabet="aZ9 -_.é\u212a\u0130", max_size=60)
+)
+@settings(max_examples=200, deadline=None)
+def test_index_tokens_are_lowercased_alphanumeric_runs(text):
+    # U+212A (Kelvin sign) and U+0130 lower-case to ASCII letters.
+    assert index_tokens(text) == re.findall(r"[a-z0-9]+", text.lower())
