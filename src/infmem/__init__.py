@@ -42,7 +42,6 @@ from .protocol import (
     StepRecord,
     StopPolicy,
     Trajectory,
-    answer,
     dumps_trajectory,
     extract_memory_update,
     loads_trajectory,

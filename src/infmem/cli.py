@@ -26,7 +26,7 @@ from . import __version__
 from .backend import Backend, BackendError, LiveBackend, ScriptedBackend
 from .baselines import MEMAGENT_PROMPT_NOTE, run_memagent, run_rag_top6
 from .budget import BudgetError
-from .config import RunConfig, config_snapshot, load_config
+from .config import RunConfig, config_snapshot, load_config, override
 from .metrics import aggregate, evaluate_trajectory, report_table
 from .protocol import (
     MODES,
@@ -38,7 +38,9 @@ from .protocol import (
     dumps_trajectory,
     load_template,
     loads_trajectory,
+    release_runtime,
     run_episode,
+    trajectory_to_dict,
 )
 from .retrieval import build_index, build_units, query_index
 from .rewards import (
@@ -224,6 +226,17 @@ def _run_one(instance, mode: str, backend: Backend, config: RunConfig, stop_poli
     raise CliError(f"unknown mode {mode!r}")
 
 
+def _failure_record(instance_id: str, exc: BackendError | EpisodeError) -> dict:
+    partial = exc.trajectory if isinstance(exc, EpisodeError) else None
+    cause = exc.cause if isinstance(exc, EpisodeError) else exc
+    return {
+        "instance_id": instance_id,
+        "message": str(exc),
+        "cause": f"{type(cause).__name__}: {cause}",
+        "trajectory": None if partial is None else trajectory_to_dict(partial),
+    }
+
+
 def cmd_run(args) -> int:
     config = load_config(args.config)  # fail-fast budget validation
     if args.stop_threshold is not None:
@@ -235,23 +248,57 @@ def cmd_run(args) -> int:
         instances = instances[: args.limit]
     started = time.time()
 
-    def runner(instance):
-        return instance.instance_id, _run_one(instance, args.mode, backend, config, stop_policy)
+    # Every episode of one instance id runs in input order in one worker: its
+    # rollouts then reuse one prepared document, and the scripted backend
+    # hands out each id's responses in the serial order.
+    groups: dict[str, list] = {}
+    for instance in instances:
+        groups.setdefault(instance.instance_id, []).append(instance)
 
-    results: list[tuple[str, Trajectory]] = []
-    if args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(runner, instances))
-    else:
-        results = [runner(inst) for inst in instances]
+    def run_group(group: list) -> tuple[list[Trajectory], dict | None]:
+        done = []
+        for instance in group:
+            try:
+                done.append(_run_one(instance, args.mode, backend, config, stop_policy))
+            except (EpisodeError, BackendError) as exc:
+                return done, _failure_record(instance.instance_id, exc)
+        return done, None
 
-    results.sort(key=lambda pair: pair[0])
+    try:
+        if args.parallel > 1:
+            with ThreadPoolExecutor(max_workers=args.parallel) as pool:
+                outcomes = list(pool.map(run_group, groups.values()))
+        else:
+            outcomes = [run_group(group) for group in groups.values()]
+    finally:
+        release_runtime()
+
+    trajectories = sorted((traj for done, _ in outcomes for traj in done), key=lambda traj: traj.instance_id)
+    failures = [failure for _, failure in outcomes if failure is not None]
+    lines = "".join(dumps_trajectory(traj) + "\n" for traj in trajectories)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out, "".join(dumps_trajectory(traj) + "\n" for _, traj in results))
+    partial_path = out.with_name(out.name + ".partial")
+    failures_path = out.with_name(out.name + ".failures.jsonl")
     notes = {"memagent_prompt": MEMAGENT_PROMPT_NOTE} if args.mode == "memagent" else None
+    if failures:
+        _atomic_write_text(partial_path, lines)
+        _atomic_write_text(
+            failures_path,
+            "".join(json.dumps(f, ensure_ascii=False, sort_keys=True) + "\n" for f in failures),
+        )
+        _write_manifest(
+            partial_path, "run", config, {"dataset": Path(args.dataset)}, started, mode=args.mode, notes=notes
+        )
+        for f in failures:
+            print(f"backend failure: {f['instance_id']}: {f['message']} (cause: {f['cause']})", file=sys.stderr)
+        print(f"wrote {len(trajectories)} finished trajectories -> {partial_path}, failures -> {failures_path}")
+        return 2
+    _atomic_write_text(out, lines)
+    for stale in (partial_path, failures_path, partial_path.with_name(partial_path.name + ".manifest.json")):
+        stale.unlink(missing_ok=True)
     _write_manifest(out, "run", config, {"dataset": Path(args.dataset)}, started, mode=args.mode, notes=notes)
-    print(f"wrote {len(results)} trajectories -> {out}")
+    print(f"wrote {len(trajectories)} trajectories -> {out}")
     return 0
 
 
@@ -300,14 +347,7 @@ def _load_weights(path: str | None, config: RunConfig) -> RewardWeights:
         return config.weights
     with Path(path).open("r", encoding="utf-8") as f:
         data = yaml.safe_load(f) or {}
-    base = config.weights
-    return RewardWeights(
-        alpha_gt=data.get("alpha_gt", base.alpha_gt),
-        alpha_early=data.get("alpha_early", base.alpha_early),
-        alpha_call=data.get("alpha_call", base.alpha_call),
-        alpha_mem=data.get("alpha_mem", base.alpha_mem),
-        gamma=data.get("gamma", base.gamma),
-    )
+    return override(config.weights, data, "weights file")
 
 
 def cmd_reward(args) -> int:
@@ -338,6 +378,7 @@ def cmd_reward(args) -> int:
             compute_reward(
                 traj, rec["answers"], weights, config.budgets.memory,
                 evaluator=evaluator, counter=config.counter,
+                max_new_tokens=config.budgets.max_generation, sampling=config.sampling,
             )
             for traj in rollouts
         ]

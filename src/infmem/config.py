@@ -8,7 +8,7 @@ split fails before any work starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import yaml
@@ -44,6 +44,9 @@ class RunConfig:
     stop_threshold: int = 1
     k_max: int = K_MAX_DEFAULT
 
+    def __post_init__(self) -> None:
+        counter_from_scheme(self.tokenizer_scheme)  # fail on an unknown scheme now, not at first use
+
     @property
     def counter(self) -> TokenCounter:
         return counter_from_scheme(self.tokenizer_scheme)
@@ -53,108 +56,68 @@ class RunConfig:
         return StopPolicy(self.stop_threshold)
 
 
+# YAML section -> the RunConfig field holding the dataclass that section fills.
+_SECTIONS = {"budget": "budgets", "retrieval": "retrieval", "rag": "rag", "rewards": "weights", "sampling": "sampling"}
+# YAML section -> {key: RunConfig field} for settings held on RunConfig itself.
+_FLAT_SECTIONS = {
+    "tokenizer": {"scheme": "tokenizer_scheme"},
+    "protocol": {"stop_threshold": "stop_threshold", "k_max": "k_max"},
+}
+
+
+def _reject_unknown(values: dict, allowed, where: str) -> None:
+    if not isinstance(values, dict):
+        raise ValueError(f"{where} must be a mapping")
+    unknown = sorted(str(key) for key in values if key not in allowed)
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)} in {where}; allowed: {', '.join(sorted(allowed))}")
+
+
+def override(base, values: dict, where: str):
+    """``base`` with its fields replaced by ``values``; a key that is not a field is an error."""
+    _reject_unknown(values, {f.name for f in fields(base)}, where)
+    return replace(base, **values)
+
+
 def _section(data: dict, name: str) -> dict:
-    value = data.get(name, {})
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ValueError(f"config section {name!r} must be a mapping")
-    return value
+    value = data.get(name)
+    return {} if value is None else value
 
 
 def load_config(path: str | Path | None = None) -> RunConfig:
-    """Build a validated RunConfig from a YAML file (defaults when path is None)."""
+    """Build a validated RunConfig from a YAML file (defaults when path is None).
+
+    Each section may set only the fields of what it fills; any other key,
+    like a misspelt section name, fails the load.
+    """
     data: dict = {}
     if path is not None:
         with Path(path).open("r", encoding="utf-8") as f:
             data = yaml.safe_load(f) or {}
+    _reject_unknown(data, {*_SECTIONS, *_FLAT_SECTIONS, "total_input_budget"}, "config")
 
     defaults = RunConfig()
-    budget = _section(data, "budget")
-    budgets = BudgetConfig(
-        query=budget.get("query", defaults.budgets.query),
-        retrieved=budget.get("retrieved", defaults.budgets.retrieved),
-        recurrent=budget.get("recurrent", defaults.budgets.recurrent),
-        memory=budget.get("memory", defaults.budgets.memory),
-        reserve=budget.get("reserve", defaults.budgets.reserve),
-        max_generation=budget.get("max_generation", defaults.budgets.max_generation),
-        retrieval_unit=budget.get("retrieval_unit", defaults.budgets.retrieval_unit),
-    )
+    budgets = override(defaults.budgets, _section(data, "budget"), "budget")
     total = data.get("total_input_budget", budgets.input_total)
     validate_budget(budgets, total)
 
-    tokenizer = _section(data, "tokenizer")
-    retrieval = _section(data, "retrieval")
-    rag = _section(data, "rag")
-    rewards = _section(data, "rewards")
-    sampling = _section(data, "sampling")
-    protocol = _section(data, "protocol")
-
-    return RunConfig(
-        budgets=budgets,
-        total_input_budget=total,
-        tokenizer_scheme=tokenizer.get("scheme", defaults.tokenizer_scheme),
-        retrieval=RetrievalConfig(
-            unit_tokens=retrieval.get("unit_tokens", budgets.retrieval_unit),
-            k1=retrieval.get("k1", defaults.retrieval.k1),
-            b=retrieval.get("b", defaults.retrieval.b),
-            scope=retrieval.get("scope", defaults.retrieval.scope),
-        ),
-        rag=RagConfig(
-            unit_tokens=rag.get("unit_tokens", defaults.rag.unit_tokens),
-            top_k=rag.get("top_k", defaults.rag.top_k),
-            context_cap=rag.get("context_cap", defaults.rag.context_cap),
-            max_new_tokens=rag.get("max_new_tokens", defaults.budgets.max_generation),
-        ),
-        weights=RewardWeights(
-            alpha_gt=rewards.get("alpha_gt", defaults.weights.alpha_gt),
-            alpha_early=rewards.get("alpha_early", defaults.weights.alpha_early),
-            alpha_call=rewards.get("alpha_call", defaults.weights.alpha_call),
-            alpha_mem=rewards.get("alpha_mem", defaults.weights.alpha_mem),
-            gamma=rewards.get("gamma", defaults.weights.gamma),
-        ),
-        sampling=SamplingConfig(
-            temperature=sampling.get("temperature", defaults.sampling.temperature),
-            top_p=sampling.get("top_p", defaults.sampling.top_p),
-        ),
-        stop_threshold=protocol.get("stop_threshold", defaults.stop_threshold),
-        k_max=protocol.get("k_max", defaults.k_max),
-    )
+    values: dict = {"budgets": budgets, "total_input_budget": total}
+    # retrieval.unit_tokens defaults to budget.retrieval_unit.
+    defaults = replace(defaults, retrieval=replace(defaults.retrieval, unit_tokens=budgets.retrieval_unit))
+    for name, attr in _SECTIONS.items():
+        if attr not in values:
+            values[attr] = override(getattr(defaults, attr), _section(data, name), name)
+    for name, keys in _FLAT_SECTIONS.items():
+        section = _section(data, name)
+        _reject_unknown(section, keys, name)
+        values.update((keys[key], value) for key, value in section.items())
+    return RunConfig(**values)
 
 
 def config_snapshot(config: RunConfig) -> dict:
-    """Complete, environment-independent dump for run manifests."""
-    return {
-        "budget": {
-            "query": config.budgets.query,
-            "retrieved": config.budgets.retrieved,
-            "recurrent": config.budgets.recurrent,
-            "memory": config.budgets.memory,
-            "reserve": config.budgets.reserve,
-            "max_generation": config.budgets.max_generation,
-            "retrieval_unit": config.budgets.retrieval_unit,
-        },
-        "total_input_budget": config.total_input_budget,
-        "tokenizer": {"scheme": config.tokenizer_scheme},
-        "retrieval": {
-            "unit_tokens": config.retrieval.unit_tokens,
-            "k1": config.retrieval.k1,
-            "b": config.retrieval.b,
-            "scope": config.retrieval.scope,
-        },
-        "rag": {
-            "unit_tokens": config.rag.unit_tokens,
-            "top_k": config.rag.top_k,
-            "context_cap": config.rag.context_cap,
-            "max_new_tokens": config.rag.max_new_tokens,
-        },
-        "rewards": {
-            "alpha_gt": config.weights.alpha_gt,
-            "alpha_early": config.weights.alpha_early,
-            "alpha_call": config.weights.alpha_call,
-            "alpha_mem": config.weights.alpha_mem,
-            "gamma": config.weights.gamma,
-        },
-        "sampling": {"temperature": config.sampling.temperature, "top_p": config.sampling.top_p},
-        "protocol": {"stop_threshold": config.stop_threshold, "k_max": config.k_max},
-    }
+    """Complete, environment-independent dump for run manifests, in the YAML layout."""
+    snapshot = {name: asdict(getattr(config, attr)) for name, attr in _SECTIONS.items()}
+    for name, keys in _FLAT_SECTIONS.items():
+        snapshot[name] = {key: getattr(config, attr) for key, attr in keys.items()}
+    snapshot["total_input_budget"] = config.total_input_budget
+    return snapshot

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Mapping, Sequence
@@ -286,21 +287,6 @@ def answer_call(
     return _first_line(result.text), prompt, result
 
 
-def answer(
-    question: str,
-    memory: MemoryState,
-    backend: Backend,
-    *,
-    episode_id: str = "adhoc",
-    max_new_tokens: int = 1536,
-    sampling: SamplingConfig = SamplingConfig(),
-) -> str:
-    text, _, _ = answer_call(
-        question, memory, backend, episode_id=episode_id, max_new_tokens=max_new_tokens, sampling=sampling
-    )
-    return text
-
-
 @dataclass(frozen=True)
 class EpisodeRuntime:
     """Immutable per-instance context shared by every step of an episode."""
@@ -324,6 +310,41 @@ def prepare_runtime(
     return EpisodeRuntime(chunks=chunks, units=units, index=index)
 
 
+# One slot per thread: the last runtime this thread prepared, with its key.
+# Rollouts of one document run back to back in one thread, so one slot
+# serves them all, and a thread never holds more than one document's index.
+_runtime_slot = threading.local()
+
+
+def _episode_runtime(
+    long_text: str,
+    budgets: BudgetConfig,
+    counter: TokenCounter,
+    unit_tokens: int | None,
+    k1: float | None,
+    b: float | None,
+) -> EpisodeRuntime:
+    """The previous episode's runtime when it read the same text under the same settings.
+
+    On a miss the old runtime is dropped before the new one is built, so two
+    documents' indexes are never alive at once.
+    """
+    unit_tokens, k1, b = unit_tokens or budgets.retrieval_unit, k1 or DEFAULT_K1, b or DEFAULT_B
+    settings = (budgets.recurrent, unit_tokens, k1, b, counter)
+    slot = getattr(_runtime_slot, "entry", None)
+    if slot is not None and slot[1] == settings and slot[0] == long_text:
+        return slot[2]
+    slot = _runtime_slot.entry = None
+    runtime = prepare_runtime(long_text, budgets, counter, unit_tokens, k1, b)
+    _runtime_slot.entry = (long_text, settings, runtime)
+    return runtime
+
+
+def release_runtime() -> None:
+    """Empty the calling thread's runtime slot."""
+    _runtime_slot.entry = None
+
+
 def run_episode(
     instance,
     backend: Backend,
@@ -337,18 +358,19 @@ def run_episode(
     unit_tokens: int | None = None,
     k1: float | None = None,
     b: float | None = None,
-    runtime: EpisodeRuntime | None = None,
 ) -> Trajectory:
     """Execute the full control loop over one instance and answer at the end.
 
     ``retrieval_scope`` is "full" (whole-document index, the default) or
     "prefix" (only units already streamed past). A planner parse failure
     degrades to a RETRIEVE with the raw question and the default top_k so
-    rollouts stay alive; the step is flagged call_ok=False.
+    rollouts stay alive; the step is flagged call_ok=False. The document's
+    chunks, units and index are reused from this thread's previous episode
+    when it read the same text under the same settings.
     """
     if retrieval_scope not in ("full", "prefix"):
         raise ValueError(f"retrieval_scope must be 'full' or 'prefix', got {retrieval_scope!r}")
-    rt = runtime if runtime is not None else prepare_runtime(instance.long_text, budgets, counter, unit_tokens, k1, b)
+    rt = _episode_runtime(instance.long_text, budgets, counter, unit_tokens, k1, b)
     units_by_id = {u.unit_id: u for u in rt.units}
     question = truncate_to_budget(instance.question, budgets.query, counter)
 

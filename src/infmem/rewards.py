@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 from .backend import Backend
 from .budget import TokenCounter, WHITESPACE_COUNTER, count_tokens
 from .metrics import exact_match
-from .protocol import SamplingConfig, Trajectory, answer
+from .protocol import SamplingConfig, Trajectory, answer_call
 
 REWARD_COMPONENTS = ("gt", "early", "call", "mem")
 
@@ -108,11 +108,11 @@ def first_sufficient_step(
 ) -> int | None:
     """Earliest step whose memory alone lets a frozen evaluator answer correctly.
 
-    Probes every step exhaustively and returns the minimum index; None when
-    no step suffices.
+    Probes the steps in order and returns at the first sufficient one; None
+    when no step suffices.
     """
     for step in trajectory.steps:
-        prediction = answer(
+        prediction, _, _ = answer_call(
             trajectory.question,
             step.memory_after,
             evaluator,
@@ -174,12 +174,22 @@ def compute_reward(
     *,
     evaluator: Backend | None = None,
     counter: TokenCounter = WHITESPACE_COUNTER,
+    max_new_tokens: int = 1536,
+    sampling: SamplingConfig = SamplingConfig(),
 ) -> RewardBreakdown:
-    """Full breakdown for one rollout; early-stop shaping needs an evaluator."""
+    """Full breakdown for one rollout; early-stop shaping needs an evaluator.
+
+    The evaluator is asked with ``sampling`` and ``max_new_tokens``, which
+    the CLI takes from the run config.
+    """
     r_gt = exact_match(trajectory.answer, golds)
     r_call = verify_calls(trajectory)
     r_mem = verify_memory(trajectory, memory_budget, counter)
-    t_first = first_sufficient_step(trajectory, evaluator, golds) if evaluator is not None else None
+    t_first = None
+    if evaluator is not None:
+        t_first = first_sufficient_step(
+            trajectory, evaluator, golds, max_new_tokens=max_new_tokens, sampling=sampling
+        )
     r_early = early_stop_reward(trajectory.stop_step, t_first, weights.gamma)
     return outcome_reward(
         r_gt, r_early, r_call, r_mem, weights, t_first=t_first, t_stop=trajectory.stop_step

@@ -1,6 +1,7 @@
 """CLI harness: routing, exit codes, manifests, pipeline roundtrips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -385,3 +386,55 @@ def test_run_live_malformed_body_exits_2(workspace, monkeypatch, capsys):
     ])
     assert code == 2
     assert "malformed response body" in capsys.readouterr().err
+
+
+def test_exit_code_one_on_unknown_config_key(workspace, tmp_path):
+    _, qa_path, dist_path, _ = workspace
+    for text in ("retreival:\n  k1: 1.5\n", "tokenizer:\n  scheme: bogus\n"):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        code = dispatch([
+            "synth", "--source", str(qa_path), "--distractors", str(dist_path),
+            "--lengths", "100", "--seed", "1", "--out", str(tmp_path / "x"), "--config", str(bad),
+        ])
+        assert code == 1
+
+
+def test_reward_evaluator_uses_config_sampling(tmp_path, monkeypatch):
+    golden = Path(__file__).parent / "golden"
+    config = tmp_path / "config.yaml"
+    config.write_text((golden / "config.yaml").read_text() + "sampling:\n  temperature: 0.25\n  top_p: 0.5\n")
+    lines = (golden / "expected_t1.jsonl").read_text().splitlines(keepends=True)
+    traj = tmp_path / "traj.jsonl"
+    traj.write_text("".join(line * 2 for line in lines))
+    ids = [json.loads(line)["instance_id"] for line in lines]
+    evaluator = tmp_path / "evaluator.json"
+    evaluator.write_text(json.dumps({iid: {"answer": ["no"] * 20} for iid in ids}))
+    requests = []
+    complete = ScriptedBackend.complete
+
+    def recording(self, request, **kwargs):
+        requests.append(request)
+        return complete(self, request, **kwargs)
+
+    monkeypatch.setattr(ScriptedBackend, "complete", recording)
+    code = dispatch([
+        "reward", "--traj", str(traj), "--dataset", str(golden / "dataset_t1.jsonl"), "--group-size", "2",
+        "--evaluator-script", str(evaluator), "--out", str(tmp_path / "rewards.jsonl"), "--config", str(config),
+    ])
+    assert code == 0
+    assert requests
+    assert {(r.temperature, r.top_p, r.max_new_tokens) for r in requests} == {(0.25, 0.5, 64)}
+
+
+def test_reward_weights_file_rejects_unknown_keys(tmp_path):
+    golden = Path(__file__).parent / "golden"
+    traj = tmp_path / "traj.jsonl"
+    traj.write_text("".join(line * 2 for line in (golden / "expected_t1.jsonl").read_text().splitlines(keepends=True)))
+    weights = tmp_path / "weights.yaml"
+    weights.write_text("alpha_gt: 2.0\nalpha_erly: 0.5\n")
+    code = dispatch([
+        "reward", "--traj", str(traj), "--dataset", str(golden / "dataset_t1.jsonl"), "--group-size", "2",
+        "--weights", str(weights), "--out", str(tmp_path / "rewards.jsonl"),
+    ])
+    assert code == 1

@@ -76,3 +76,60 @@ def test_snapshot_is_complete_and_plain(tmp_path):
     import json
 
     json.dumps(snap)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("retreival: {k1: 1.5}\n", "retreival"),
+        ("budget: {qurey: 5}\n", "qurey"),
+        ("retrieval: {k_1: 1.5}\n", "k_1"),
+        ("rag: {topk: 3}\n", "topk"),
+        ("rewards: {alpha: 1.0}\n", "alpha"),
+        ("sampling: {temp: 0.1}\n", "temp"),
+        ("tokenizer: {schema: whitespace-approx}\n", "schema"),
+        ("protocol: {stop_treshold: 2}\n", "stop_treshold"),
+    ],
+)
+def test_unknown_keys_rejected(tmp_path, text, where):
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"unknown key.*{where}"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("scheme", ["whitespace", "external-vocab"])
+def test_invalid_tokenizer_scheme_rejected_at_load(tmp_path, scheme):
+    path = tmp_path / "c.yaml"
+    path.write_text(f"tokenizer: {{scheme: {scheme}}}\n")
+    with pytest.raises(ValueError, match="scheme"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("text", ["budget: [1, 2]\n", "- a list\n"])
+def test_non_mapping_rejected(tmp_path, text):
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="mapping"):
+        load_config(path)
+
+
+def test_snapshot_loads_back_to_the_same_config(tmp_path):
+    # Every key the snapshot writes is one load_config accepts, and it restores every field.
+    import yaml
+
+    path = tmp_path / "c.yaml"
+    path.write_text(
+        "budget: {query: 500, retrieved: 1000, recurrent: 2000, memory: 400, reserve: 100, max_generation: 99}\n"
+        "total_input_budget: 4000\n"
+        "tokenizer: {scheme: byte-per-4-approx}\n"
+        "retrieval: {scope: prefix, k1: 1.5, b: 0.5}\n"
+        "rag: {top_k: 3}\n"
+        "rewards: {gamma: 0.5}\n"
+        "sampling: {temperature: 0.2}\n"
+        "protocol: {stop_threshold: 3, k_max: 7}\n"
+    )
+    config = load_config(path)
+    again = tmp_path / "snapshot.yaml"
+    again.write_text(yaml.safe_dump(config_snapshot(config)))
+    assert load_config(again) == config

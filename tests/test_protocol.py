@@ -13,7 +13,7 @@ from infmem.protocol import (
     MemoryState,
     StopPolicy,
     Trajectory,
-    answer,
+    answer_call,
     dumps_trajectory,
     extract_memory_update,
     loads_trajectory,
@@ -378,13 +378,15 @@ def test_early_stop_semantics_random_scripts(small_budgets):
 
 def test_answer_uses_memory_only(small_budgets):
     be = ScriptedBackend({"adhoc": {"answer": ["Sammy Fain"]}})
-    result = answer("who composed it?", MemoryState("composed by Sammy Fain", 4, 3), be)
+    memory = MemoryState("composed by Sammy Fain", 4, 3)
+    result, prompt, _ = answer_call("who composed it?", memory, be, episode_id="adhoc")
     assert result == "Sammy Fain"
+    assert "composed by Sammy Fain" in prompt
 
 
 def test_answer_takes_first_line():
     be = ScriptedBackend({"adhoc": {"answer": ["<think>hmm</think>\nThe answer is X.\nBecause reasons."]}})
-    assert answer("q", M0, be) == "The answer is X."
+    assert answer_call("q", M0, be, episode_id="adhoc")[0] == "The answer is X."
 
 
 def test_stop_policy_validation():
